@@ -516,8 +516,9 @@ func BenchmarkLeafWalkRefine(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tree.RefineWhere(benchFastPathRegion, 5)
 			for s := 0; s < sweeps; s++ {
-				for _, e := range tree.LeafSnapshot() {
-					sum += e.Data[0]
+				ix := tree.LeafSnapshot()
+				for j := 0; j < ix.Len(); j++ {
+					sum += ix.Data(j)[0]
 				}
 			}
 		}

@@ -80,8 +80,8 @@ func TestCacheCoherence(t *testing.T) {
 						return true
 					})
 				}},
-				{"updateIndexed", func() {
-					tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
+				{"updateTiled", func() {
+					sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool {
 						d[1] = d[0] + 1
 						return true
 					})
@@ -94,8 +94,8 @@ func TestCacheCoherence(t *testing.T) {
 				}},
 				{"gc", func() { tr.GC() }},
 				{"persistAgain", func() { tr.Persist() }},
-				{"indexedAfterPersist", func() {
-					tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
+				{"tiledAfterPersist", func() {
+					sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool {
 						d[2] = d[1] * 2
 						return true
 					})
@@ -196,20 +196,23 @@ func TestLeafSnapshotInvalidation(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		snap := tr.LeafSnapshot()
-		var want []LeafEntry
+		ix := tr.LeafSnapshot()
+		var want []Octant
+		var refs []Ref
 		tr.ForEachNode(func(r Ref, o *Octant) bool {
 			if o.IsLeaf() {
-				want = append(want, LeafEntry{Code: o.Code, Ref: r, Data: o.Data})
+				want = append(want, *o)
+				refs = append(refs, r)
 			}
 			return true
 		})
-		if len(snap) != len(want) {
-			t.Fatalf("%s: snapshot has %d leaves, walk found %d", label, len(snap), len(want))
+		if ix.Len() != len(want) {
+			t.Fatalf("%s: index has %d leaves, walk found %d", label, ix.Len(), len(want))
 		}
-		for i := range want {
-			if snap[i] != want[i] {
-				t.Fatalf("%s: entry %d = %+v, walk found %+v", label, i, snap[i], want[i])
+		for i, o := range want {
+			if ix.codes[i] != o.Code || ix.refs[i] != refs[i] || ix.Data(i) != o.Data {
+				t.Fatalf("%s: entry %d = (%v, %v, %v), walk found (%v, %v, %v)",
+					label, i, ix.codes[i], ix.refs[i], ix.Data(i), o.Code, refs[i], o.Data)
 			}
 		}
 	}
@@ -233,23 +236,21 @@ func TestLeafSnapshotInvalidation(t *testing.T) {
 	tr.Persist()
 	check("after persist")
 
-	// In-place indexed sweeps keep the snapshot valid. The first sweep
-	// after a Persist copy-on-writes every leaf back into the working
-	// version (structural change, so it rebuilds); from the second sweep
-	// on the writes land in place and sweep k+1 must not walk the tree.
-	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 2; return true })
-	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3; return true })
+	// In-place tiled sweeps keep the index valid. The first sweep after a
+	// Persist copy-on-writes every leaf back into the working version
+	// (structural change, so the next gather rebuilds); from the second
+	// sweep on the writes land in place and must not cost a tree walk.
+	sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool { d[0] = 2; return true })
+	sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3; return true })
 	rebuilds = tr.FastPath().LeafIndexRebuilds
-	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3.5; return true })
+	sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3.5; return true })
+	tr.LeafSnapshot()
 	if got := tr.FastPath().LeafIndexRebuilds; got != rebuilds {
-		t.Fatalf("in-place indexed sweep invalidated the snapshot (%d -> %d rebuilds)", rebuilds, got)
+		t.Fatalf("in-place tiled sweep invalidated the index (%d -> %d rebuilds)", rebuilds, got)
 	}
-	if tr.FastPath().IndexedInPlaceSkips == 0 {
-		t.Fatal("no in-place revalidation recorded")
-	}
-	check("after indexed sweeps")
+	check("after tiled sweeps")
 
-	// UpdateLeavesIndexed must produce the same fields UpdateLeaves does.
+	// Tiled sweeps must produce the same fields UpdateLeaves does.
 	tr2 := Create(Config{
 		NVBMDevice: nvbm.New(nvbm.NVBM, 0),
 		DRAMDevice: nvbm.New(nvbm.DRAM, 0),
@@ -262,7 +263,7 @@ func TestLeafSnapshotInvalidation(t *testing.T) {
 	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 2; return true })
 	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3; return true })
 	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3.5; return true })
-	sameLeaves(t, leafSet(tr, tr.Root()), leafSet(tr2, tr2.Root()), "indexed vs walk sweeps")
+	sameLeaves(t, leafSet(tr, tr.Root()), leafSet(tr2, tr2.Root()), "tiled vs walk sweeps")
 }
 
 // TestConcurrentCommittedWalk runs ForEachCommittedNode from two

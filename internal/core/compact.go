@@ -79,6 +79,6 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	}
 	// Every NVBM ref changed identity; drop all derived host-side state.
 	t.cacheInvalidateAll()
-	t.invalidateLeafIndex()
+	t.noteMutation()
 	return retired, nil
 }

@@ -108,27 +108,22 @@ func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64
 	// pre-fill the leaf index and tile store from the flat derivation and
 	// stamp them valid, so the first parallel sweep re-gathers nothing.
 	t.cacheInvalidateAll()
-	t.invalidateLeafIndex()
-	nl := len(bt.Leaves)
-	t.leafSnap = t.leafSnap[:0]
-	t.leafCodesSnap = t.leafCodesSnap[:0]
-	for i := 0; i < nl; i++ {
-		e := LeafEntry{Code: bt.Leaves[i], Ref: ref(bt.LeafNode[i])}
+	t.noteMutation()
+	ix := t.detachLeafIndex()
+	for i := range bt.Leaves {
+		var d [DataWords]float64
 		if len(data) > 0 {
-			e.Data = data[bt.SrcIdx[i]]
+			d = data[bt.SrcIdx[i]]
 		}
-		t.leafSnap = append(t.leafSnap, e)
-		t.leafCodesSnap = append(t.leafCodesSnap, e.Code)
+		ix.add(bt.Leaves[i], ref(bt.LeafNode[i]), d)
 	}
-	t.leafSnapSeq = t.mutSeq
-	t.leafSnapOK = true
-	t.leafCodesOK = true
+	ix.seq, t.leaves = t.mutSeq, ix
 	if t.tiles == nil {
 		t.tiles = new(tile.Store)
 	}
-	t.tiles.Reset(t.leafCodesSnap)
-	for i := range t.leafSnap {
-		t.tiles.Set(i, t.leafSnap[i].Data)
+	t.tiles.Reset(ix.codes)
+	for i := range ix.data {
+		t.tiles.Set(i, ix.data[i])
 	}
 	t.tiles.Stamp(t.mutSeq)
 

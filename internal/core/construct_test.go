@@ -342,10 +342,9 @@ func TestConstructPrefillsFastPath(t *testing.T) {
 			t.Fatalf("tile cell %d = %v, want %v", i, got, want)
 		}
 	}
-	// The prefilled snapshot serves point queries without a walk rebuild.
-	snap := tr.LeafSnapshot()
-	if len(snap) != len(codes) {
-		t.Fatalf("leaf snapshot %d entries, want %d", len(snap), len(codes))
+	// The prefilled index is served without a walk rebuild.
+	if n := tr.LeafSnapshot().Len(); n != len(codes) || tr.fp.LeafIndexRebuilds != 0 {
+		t.Fatalf("leaf index %d entries after %d rebuilds, want %d after 0", n, tr.fp.LeafIndexRebuilds, len(codes))
 	}
 }
 

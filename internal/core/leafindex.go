@@ -1,123 +1,152 @@
 package core
 
-import "pmoctree/internal/morton"
+import (
+	"slices"
+
+	"pmoctree/internal/morton"
+)
 
 // Z-order leaf index. Octree AMR codes that run at hardware speed
-// (Cornerstone, the p4est Morton representation) iterate flat,
-// Morton-sorted leaf arrays instead of pointer-chasing tree walks.
-// LeafSnapshot materializes the working version's leaves into exactly
-// that layout: a contiguous slice sorted by Morton code (the pre-order
-// walk emits leaves in Z-order), which is also the chunkable input the
-// worker pool wants.
+// (Cornerstone, the p4est Morton representation) find leaves in a flat,
+// Morton-sorted leaf array instead of pointer-chasing tree walks. A
+// LeafIndex is that array; the leaf lookups of core, serve, sim and solver
+// all go through its three binary searches. It is built one of three ways:
 //
-// Invalidation rule: the snapshot is stamped with the tree's mutation
-// sequence number, which every octant write, partial-field write and
-// free bumps. Any structural or data mutation therefore invalidates it;
-// the next LeafSnapshot call rebuilds with one (charged) tree walk.
-// Rebuild walks go through readOct like every other traversal, so the
-// modeled device accounting of an explicit snapshot is identical to the
-// leaf walk it replaces.
+//   - Tree.LeafSnapshot: the working version's leaves, from one charged
+//     tree walk, stamped with the tree's mutation sequence number;
+//   - VersionPin.BuildLeafIndex: a pinned committed version's leaves,
+//     from one charged walk of that version;
+//   - NewLeafIndex: a code list already in Z-order, for meshes that are
+//     not a Tree and for the solver's sorted cells.
+//
+// No builder sorts: the pre-order walk emits leaves in Z-order. Leaves
+// are disjoint, so their inclusive KeySpans are disjoint and ordered like
+// their keys — the last leaf whose key is <= k is the only candidate to
+// hold k.
+//
+// Invalidation rule for the Tree's index: every octant write,
+// partial-field write and free bumps the mutation sequence number, so any
+// structural or data mutation invalidates the index and the next
+// LeafSnapshot rebuilds it with one (charged) tree walk. Rebuild walks go
+// through readOct like every other traversal, so the modeled device
+// accounting of an explicit snapshot is identical to the leaf walk it
+// replaces.
 
-// LeafEntry is one working-version leaf in the Z-order leaf index.
-type LeafEntry struct {
-	Code morton.Code
-	Ref  Ref
-	Data [DataWords]float64
+// LeafIndex is a Z-ordered leaf set: leaf codes, their Keys, and — for
+// indexes built from a tree or a pinned version — each leaf's ref and
+// payload. Lookups return positions into these parallel arrays. It is
+// read-only to its users; only the Tree that owns one rebuilds it, and
+// patches its payloads when a tile scatter writes leaves in place.
+type LeafIndex struct {
+	codes []morton.Code
+	keys  []uint64
+	refs  []Ref
+	data  [][DataWords]float64
+	seq   uint64 // Tree.mutSeq at build (Tree-owned index only)
+}
+
+// NewLeafIndex indexes codes, which must be disjoint leaves in strictly
+// ascending Z-order (Key order). The index keeps codes; the caller must
+// not modify it afterwards. Payloads are absent: Data must not be called
+// on the result.
+func NewLeafIndex(codes []morton.Code) *LeafIndex {
+	ix := &LeafIndex{codes: codes, keys: make([]uint64, len(codes))}
+	for i, c := range codes {
+		ix.keys[i] = c.Key()
+		if i > 0 && ix.keys[i] <= ix.keys[i-1] {
+			panic("core: NewLeafIndex codes are not in strictly ascending Z-order")
+		}
+	}
+	return ix
+}
+
+// addLeaf is the ForEachNode callback that appends each leaf it visits.
+func (ix *LeafIndex) addLeaf(r Ref, o *Octant) bool {
+	if o.IsLeaf() {
+		ix.add(o.Code, r, o.Data)
+	}
+	return true
+}
+
+func (ix *LeafIndex) add(c morton.Code, r Ref, d [DataWords]float64) {
+	ix.codes = append(ix.codes, c)
+	ix.keys = append(ix.keys, c.Key())
+	ix.refs = append(ix.refs, r)
+	ix.data = append(ix.data, d)
+}
+
+// Len returns the number of leaves.
+func (ix *LeafIndex) Len() int { return len(ix.codes) }
+
+// Codes returns the leaf codes in Z-order. The slice is shared with the
+// index and must not be modified.
+func (ix *LeafIndex) Codes() []morton.Code { return ix.codes }
+
+// Data returns leaf i's payload as of the index build.
+func (ix *LeafIndex) Data(i int) [DataWords]float64 { return ix.data[i] }
+
+// Find returns the position of the leaf with exactly code c. A key
+// encodes both the anchor and the level, so one key comparison decides.
+func (ix *LeafIndex) Find(c morton.Code) (int, bool) {
+	return slices.BinarySearch(ix.keys, c.Key())
+}
+
+// Containing returns the position of the leaf whose inclusive KeySpan
+// holds key k, or false when no leaf does.
+func (ix *LeafIndex) Containing(k uint64) (int, bool) {
+	i, found := slices.BinarySearch(ix.keys, k)
+	if found {
+		return i, true
+	}
+	if i == 0 {
+		return 0, false
+	}
+	_, hi := ix.codes[i-1].KeySpan()
+	return i - 1, k <= hi
+}
+
+// Window returns the run [first, last] of leaves whose keys lie in the
+// inclusive key range [lo, hi]; the run is empty when last < first.
+func (ix *LeafIndex) Window(lo, hi uint64) (first, last int) {
+	first, _ = slices.BinarySearch(ix.keys, lo)
+	end, found := slices.BinarySearch(ix.keys, hi)
+	if found {
+		end++
+	}
+	return first, end - 1
 }
 
 // noteMutation advances the mutation sequence number that stamps the
 // leaf index. Every octant write, partial-field write, and free calls it.
 func (t *Tree) noteMutation() { t.mutSeq++ }
 
-// LeafSnapshot returns the working version's leaves as a flat,
-// Morton-sorted slice. The slice is cached and returned again (without
-// any tree walk or device traffic) until the next mutation; callers must
-// treat it as read-only and must not retain it across mutations — the
-// backing array is reused by the next rebuild.
-func (t *Tree) LeafSnapshot() []LeafEntry {
-	if t.leafSnapOK && t.leafSnapSeq == t.mutSeq {
+// LeafSnapshot returns the working version's Z-order leaf index. It is
+// cached and returned again (without any tree walk or device traffic)
+// until the next mutation. Callers must not use it after a later
+// LeafSnapshot or LeafTiles call has rebuilt it: the rebuild reuses its
+// arrays.
+func (t *Tree) LeafSnapshot() *LeafIndex {
+	if t.leaves != nil && t.leaves.seq == t.mutSeq {
 		t.fp.LeafIndexReuses++
-		return t.leafSnap
+		return t.leaves
 	}
 	seq := t.mutSeq
-	t.leafSnap = t.leafSnap[:0]
-	t.ForEachNode(func(r Ref, o *Octant) bool {
-		if o.IsLeaf() {
-			t.leafSnap = append(t.leafSnap, LeafEntry{Code: o.Code, Ref: r, Data: o.Data})
-		}
-		return true
-	})
-	t.leafSnapSeq = seq
-	t.leafSnapOK = true
-	t.leafCodesOK = false
+	ix := t.detachLeafIndex()
+	t.ForEachNode(ix.addLeaf)
+	ix.seq, t.leaves = seq, ix
 	t.fp.LeafIndexRebuilds++
-	return t.leafSnap
+	return ix
 }
 
-// LeafCodesSnapshot returns the working version's leaf codes in Z-order,
-// backed by the leaf index: when the snapshot is valid this costs no tree
-// walk and no device traffic. The same read-only/reuse caveats as
-// LeafSnapshot apply. Serial golden paths use LeafCodes (the charged
-// walk) instead; this is the parallel driver's input.
-func (t *Tree) LeafCodesSnapshot() []morton.Code {
-	ls := t.LeafSnapshot()
-	if !t.leafCodesOK {
-		t.leafCodesSnap = t.leafCodesSnap[:0]
-		for i := range ls {
-			t.leafCodesSnap = append(t.leafCodesSnap, ls[i].Code)
-		}
-		t.leafCodesOK = true
+// detachLeafIndex takes the tree's index out for a rebuild, emptied but
+// keeping its arrays. The caller stores it back, stamped, once it is
+// complete, so a walk aborted by a panic leaves no partial index behind.
+func (t *Tree) detachLeafIndex() *LeafIndex {
+	ix := t.leaves
+	if ix == nil {
+		return new(LeafIndex)
 	}
-	return t.leafCodesSnap
-}
-
-// invalidateLeafIndex force-drops the snapshot (whole-tree events:
-// Delete, Compact, restore) independent of the sequence stamp.
-func (t *Tree) invalidateLeafIndex() {
-	t.leafSnapOK = false
-	t.leafCodesOK = false
-	t.noteMutation()
-}
-
-// UpdateLeavesIndexed is UpdateLeaves driven by the Z-order leaf index:
-// it iterates the contiguous snapshot instead of re-walking the tree,
-// writes in-place leaves with a single data-field store, and routes the
-// (rare) copy-on-write leaves through the UpdateAt path walk. When every
-// write was in place the snapshot stays valid — repeated solver sweeps
-// over an unchanged mesh pay for one walk, not one per sweep.
-//
-// Field results are bit-identical to UpdateLeaves (same leaves, same
-// Z-order, same fn); the modeled device traffic differs — interior nodes
-// are not re-read — so serial golden paths keep calling UpdateLeaves.
-func (t *Tree) UpdateLeavesIndexed(fn func(code morton.Code, data *[DataWords]float64) bool) int {
-	defer t.span("Solve").End()
-	ls := t.LeafSnapshot()
-	t.fp.IndexedLeafUpdates++
-	changed := 0
-	structChanged := false
-	for i := range ls {
-		e := &ls[i]
-		data := e.Data
-		if !fn(e.Code, &data) {
-			continue
-		}
-		changed++
-		if t.isCurrent(e.Ref) {
-			o := Octant{Data: data}
-			t.writeDataField(e.Ref, &o)
-			e.Data = data // keep the snapshot entry coherent
-		} else {
-			t.UpdateAt(e.Code, func(d *[DataWords]float64) { *d = data })
-			structChanged = true
-		}
-	}
-	if !structChanged {
-		// Only in-place data stores happened and the snapshot entries were
-		// patched along the way: revalidate it so the next sweep skips the
-		// walk entirely.
-		t.leafSnapSeq = t.mutSeq
-		t.fp.IndexedInPlaceSkips++
-	}
-	t.maybeEvict()
-	return changed
+	t.leaves = nil
+	ix.codes, ix.keys, ix.refs, ix.data = ix.codes[:0], ix.keys[:0], ix.refs[:0], ix.data[:0]
+	return ix
 }

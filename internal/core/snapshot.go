@@ -235,6 +235,15 @@ func (p *VersionPin) ForEachNode(fn func(r Ref, o *Octant) bool) {
 	p.walk(p.root, buf[:], fn)
 }
 
+// BuildLeafIndex indexes the pinned version's leaves with one charged
+// ForEachNode walk. Every call walks again; callers cache the result,
+// which never goes stale because a pinned version is immutable.
+func (p *VersionPin) BuildLeafIndex() *LeafIndex {
+	ix := new(LeafIndex)
+	p.ForEachNode(ix.addLeaf)
+	return ix
+}
+
 func (p *VersionPin) walk(r Ref, buf []byte, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true

@@ -7,22 +7,22 @@ import (
 )
 
 // Tiled SoA leaf storage (DESIGN.md decision 16). The Z-order leaf index
-// (leafindex.go) already materializes the working version's leaves as one
-// flat Morton-sorted slice; LeafTiles transposes that AoS snapshot into
-// the tile.Store SoA layout the hot kernels sweep, and ScatterLeafTiles
-// writes the modified cells back through the same in-place/COW paths
-// UpdateLeavesIndexed uses.
+// (leafindex.go) already lists the working version's leaves in Morton
+// order; LeafTiles transposes its payloads into the tile.Store SoA layout
+// the hot kernels sweep, and ScatterLeafTiles writes the modified cells
+// back, in place where it can and through the UpdateAt COW walk where a
+// leaf is still shared with the committed version.
 //
 // Invalidation protocol: the store is stamped with the same mutation
-// sequence number as the leaf snapshot. Any octant write, partial-field
+// sequence number as the leaf index. Any octant write, partial-field
 // write or free invalidates it; a scatter that only performed in-place
-// data stores re-stamps both the snapshot and the store, so steady-state
+// data stores re-stamps both the index and the store, so steady-state
 // solve steps (no refine/coarsen) pay ZERO re-gathers — the store stays
 // bit-coherent with the tree across arbitrarily many sweep+scatter
-// rounds. Gather reads only the cached snapshot (no tree walk, no device
+// rounds. Gather reads only the cached index (no tree walk, no device
 // traffic beyond what LeafSnapshot itself charges when it has to
 // rebuild); the modeled device cost of the solve lives in the scatter's
-// field writes, exactly like the indexed sweep it replaces.
+// field writes.
 
 // The tile layout carries the octree payload verbatim.
 var _ = [1]struct{}{}[tile.Words-DataWords]
@@ -39,27 +39,26 @@ func (t *Tree) LeafTiles() *tile.Store {
 	}
 	defer t.span("Gather").End()
 	start := time.Now()
-	ls := t.LeafSnapshot()
-	codes := t.LeafCodesSnapshot()
+	ix := t.LeafSnapshot()
 	if t.tiles == nil {
 		t.tiles = new(tile.Store)
 	}
-	t.tiles.Reset(codes)
-	for i := range ls {
-		t.tiles.Set(i, ls[i].Data)
+	t.tiles.Reset(ix.codes)
+	for i := range ix.data {
+		t.tiles.Set(i, ix.data[i])
 	}
 	t.tiles.Stamp(t.mutSeq)
 	t.fp.TileRebuilds++
 	t.fp.TileRebuildNs += uint64(time.Since(start).Nanoseconds())
-	t.fp.TileGatherBytes += uint64(len(ls)) * 8 * DataWords
+	t.fp.TileGatherBytes += uint64(ix.Len()) * 8 * DataWords
 	return t.tiles
 }
 
 // ScatterLeafTiles writes the store's dirty cells back into the tree and
 // returns the number of cells written. In-place leaves take a single
-// data-field store (patching the leaf snapshot along the way); leaves
+// data-field store (patching the leaf index along the way); leaves
 // shared with the committed version route through the UpdateAt COW walk.
-// When every write was in place, the snapshot and the store are
+// When every write was in place, the index and the store are
 // re-stamped as valid — the next LeafTiles is free.
 //
 // The store must be the one LeafTiles returned, still valid for the
@@ -73,25 +72,25 @@ func (t *Tree) ScatterLeafTiles(st *tile.Store) int {
 	defer t.span("Scatter").End()
 	written := 0
 	structChanged := false
+	ix := t.leaves
 	st.ForEachDirty(func(i int) {
-		e := &t.leafSnap[i]
 		data := st.Load(i)
 		written++
-		if t.isCurrent(e.Ref) {
+		if r := ix.refs[i]; t.isCurrent(r) {
 			o := Octant{Data: data}
-			t.writeDataField(e.Ref, &o)
-			e.Data = data // keep the snapshot entry coherent
+			t.writeDataField(r, &o)
+			ix.data[i] = data // keep the index payload coherent
 		} else {
-			t.UpdateAt(e.Code, func(d *[DataWords]float64) { *d = data })
+			t.UpdateAt(ix.codes[i], func(d *[DataWords]float64) { *d = data })
 			structChanged = true
 		}
 	})
 	st.ClearDirty()
 	if !structChanged {
-		// Only in-place data stores happened and both the snapshot entries
+		// Only in-place data stores happened and both the index payloads
 		// and the store were patched along the way: revalidate them so the
 		// next gather is a reuse.
-		t.leafSnapSeq = t.mutSeq
+		ix.seq = t.mutSeq
 		st.Stamp(t.mutSeq)
 	}
 	t.fp.TileScatters++

@@ -185,15 +185,11 @@ type Tree struct {
 	// Octant fast path (cache.go, leafindex.go): the direct-mapped
 	// decoded-octant cache with its epoch stamp, the Z-order leaf index
 	// with its mutation-sequence stamp, and the fast-path counters.
-	cache         []cacheLine
-	cacheEpoch    uint64
-	mutSeq        uint64
-	leafSnap      []LeafEntry
-	leafSnapSeq   uint64
-	leafSnapOK    bool
-	leafCodesSnap []morton.Code
-	leafCodesOK   bool
-	fp            FastPathStats
+	cache      []cacheLine
+	cacheEpoch uint64
+	mutSeq     uint64
+	leaves     *LeafIndex // nil until the first LeafSnapshot
+	fp         FastPathStats
 
 	// Tiled SoA leaf storage (tiles.go): the gathered flat field image
 	// the hot kernels sweep, stamped with mutSeq like the leaf index.
@@ -310,7 +306,7 @@ func (t *Tree) Delete() {
 	t.depth = 0
 	t.lsub = 1
 	t.cacheInvalidateAll()
-	t.invalidateLeafIndex()
+	t.noteMutation()
 }
 
 // SetFeatures installs the application feature functions used by

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,18 +27,14 @@ var ErrBadField = fmt.Errorf("serve: field index outside octant data")
 type version struct {
 	pin *core.VersionPin
 
-	// The Morton leaf index: leaves in Z-order with their pre-order keys,
-	// plus the maximum leaf depth (bounds ancestor descent charges).
-	// Built once, on first query, with one charged walk of the pinned
-	// version; leaf data is embedded, so the query hot path never touches
-	// the arena again. Guarded by mu rather than sync.Once: a build
-	// aborted by a fault-injection panic (chaos soak cuts power under
-	// readers) must stay unbuilt and be retried, not be poisoned empty.
-	mu     sync.Mutex
-	built  bool
-	leaves []core.LeafEntry
-	keys   []uint64
-	depth  uint8
+	// The Morton leaf index, built once, on first query, with one charged
+	// walk of the pinned version; leaf data is embedded, so the query hot
+	// path never touches the arena again. Guarded by mu rather than
+	// sync.Once: a build aborted by a fault-injection panic (chaos soak
+	// cuts power under readers) must stay unbuilt and be retried, not be
+	// poisoned empty.
+	mu sync.Mutex
+	ix *core.LeafIndex
 }
 
 // Snapshot is one acquired, refcounted read handle on a pinned committed
@@ -73,7 +68,7 @@ func (s *Snapshot) Step() uint64 { return s.v.pin.Step() }
 // index if needed).
 func (s *Snapshot) LeafCount() int {
 	s.v.ensure()
-	return len(s.v.leaves)
+	return s.v.ix.Len()
 }
 
 // ensure builds the Morton leaf index on first use, reporting whether
@@ -82,26 +77,10 @@ func (s *Snapshot) LeafCount() int {
 func (v *version) ensure() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.built {
+	if v.ix != nil {
 		return false
 	}
-	var leaves []core.LeafEntry
-	depth := uint8(0)
-	v.pin.ForEachNode(func(r core.Ref, o *core.Octant) bool {
-		if o.IsLeaf() {
-			leaves = append(leaves, core.LeafEntry{Code: o.Code, Ref: r, Data: o.Data})
-			if l := o.Code.Level(); l > depth {
-				depth = l
-			}
-		}
-		return true
-	})
-	keys := make([]uint64, len(leaves))
-	for i := range leaves {
-		keys[i] = leaves[i].Code.Key()
-	}
-	v.leaves, v.keys, v.depth = leaves, keys, depth
-	v.built = true
+	v.ix = v.pin.BuildLeafIndex()
 	return true
 }
 
@@ -128,17 +107,11 @@ func cellAt(x, y, z float64) (morton.Code, error) {
 	return morton.Encode(uint32(x*n), uint32(y*n), uint32(z*n), morton.MaxLevel), nil
 }
 
-// leafAt returns the index of the leaf whose span contains key k, by
-// binary search over the Z-ordered keys. Disjoint leaves have disjoint,
-// ordered key spans, so the last leaf with key <= k is the container.
+// leafAt returns the index of the leaf whose span contains key k.
 func (v *version) leafAt(k uint64) (int, error) {
-	i := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > k }) - 1
-	if i < 0 {
-		return 0, fmt.Errorf("serve: key %d precedes the first leaf", k)
-	}
-	lo, hi := v.leaves[i].Code.KeySpan()
-	if k < lo || k > hi {
-		return 0, fmt.Errorf("serve: key %d falls between leaves; version index is inconsistent", k)
+	i, ok := v.ix.Containing(k)
+	if !ok {
+		return 0, fmt.Errorf("serve: key %d is in no leaf; version index is inconsistent", k)
 	}
 	return i, nil
 }
@@ -175,16 +148,16 @@ func (s *Snapshot) PointTraced(tc *telemetry.TraceContext, x, y, z float64) (Poi
 	if err != nil {
 		return PointResult{}, err
 	}
-	leaf := s.v.leaves[i]
+	code := s.v.ix.Codes()[i]
 	dr := tc.StartSpan("device_read")
-	modeled := s.v.pin.ChargeReadsModeled(int(leaf.Code.Level())+1, core.RecordSize)
+	modeled := s.v.pin.ChargeReadsModeled(int(code.Level())+1, core.RecordSize)
 	dr.AddModeled(modeled)
 	dr.End()
 	return PointResult{
 		Step:  s.Step(),
-		Code:  leaf.Code,
-		Data:  leaf.Data,
-		Depth: leaf.Code.Level(),
+		Code:  code,
+		Data:  s.v.ix.Data(i),
+		Depth: code.Level(),
 	}, nil
 }
 
@@ -284,12 +257,10 @@ func (v *version) regionWindow(box Box) (first, last int, charge int, err error)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if v.leaves[i].Code.Level() < a.Level() {
-		return i, i, int(v.leaves[i].Code.Level()) + 1, nil
+	if l := v.ix.Codes()[i].Level(); l < a.Level() {
+		return i, i, int(l) + 1, nil
 	}
-	lo, hi := a.KeySpan()
-	first = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
-	last = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > hi }) - 1
+	first, last = v.ix.Window(a.KeySpan())
 	// Modeled cost: descend to the common ancestor, then walk the pruned
 	// subtree window.
 	charge = int(a.Level()) + 1 + (last - first + 1)
@@ -337,11 +308,9 @@ func (s *Snapshot) RegionInTraced(tc *telemetry.TraceContext, box Box, kr KeyRan
 	}
 	var hits []LeafHit
 	for i := first; i <= last; i++ {
-		if !kr.Contains(s.v.leaves[i].Code.Key()) {
-			continue
-		}
-		if overlaps(s.v.leaves[i].Code, box) {
-			hits = append(hits, LeafHit{Code: s.v.leaves[i].Code, Data: s.v.leaves[i].Data})
+		code := s.v.ix.Codes()[i]
+		if kr.Contains(code.Key()) && overlaps(code, box) {
+			hits = append(hits, LeafHit{Code: code, Data: s.v.ix.Data(i)})
 		}
 	}
 	scan.End()
@@ -394,14 +363,11 @@ func (s *Snapshot) AggregateInTraced(tc *telemetry.TraceContext, field int, box 
 	}
 	res := AggResult{Step: s.Step(), Min: math.Inf(1), Max: math.Inf(-1)}
 	for i := first; i <= last; i++ {
-		leaf := s.v.leaves[i]
-		if !kr.Contains(leaf.Code.Key()) {
+		code := s.v.ix.Codes()[i]
+		if !kr.Contains(code.Key()) || !overlaps(code, box) {
 			continue
 		}
-		if !overlaps(leaf.Code, box) {
-			continue
-		}
-		val := leaf.Data[field]
+		val := s.v.ix.Data(i)[field]
 		res.Count++
 		res.Sum += val
 		if val < res.Min {
@@ -410,7 +376,7 @@ func (s *Snapshot) AggregateInTraced(tc *telemetry.TraceContext, field int, box 
 		if val > res.Max {
 			res.Max = val
 		}
-		ext := leaf.Code.Extent()
+		ext := code.Extent()
 		res.VolSum += val * ext * ext * ext
 	}
 	if res.Count == 0 {

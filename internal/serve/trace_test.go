@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -70,6 +71,9 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Drain the body: the trace is filed when the handler returns,
+		// which a large chunked response's headers can precede.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s -> %d", q.path, resp.StatusCode)
@@ -177,6 +181,7 @@ func TestRequestTraceConcurrentSoak(t *testing.T) {
 					errs <- err
 					return
 				}
+				io.Copy(io.Discard, resp.Body) // trace is filed before the body ends
 				resp.Body.Close()
 				if resp.StatusCode != 200 {
 					errs <- fmt.Errorf("%s -> %d", path, resp.StatusCode)

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"sort"
-
+	"pmoctree/internal/core"
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
 	"pmoctree/internal/telemetry"
@@ -48,15 +47,13 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 
 	refine := RefinePredOf(f, step)
 	if !serial {
-		refine = memoPred(leafCodes(m), pool, refine)
+		refine = memoPred(leafIndex(m), pool, refine)
 	}
 	sc.Refined = m.RefineWhere(refine, maxLevel)
 
 	coarsen := CoarsenPredOf(f, step)
 	if !serial {
-		// Coarsening tests the PARENT of a complete sibling group, so the
-		// memo covers each current leaf's parent.
-		coarsen = memoPred(leafParents(m), pool, coarsen)
+		coarsen = memoCoarsen(leafIndex(m), pool, coarsen)
 	}
 	sc.Coarsened = m.CoarsenWhere(coarsen)
 
@@ -76,38 +73,26 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 		// once per leaf in parallel and share it across all sweeps. The
 		// serial path re-evaluates it every sweep, so this also removes
 		// (SolverSweeps-1)/SolverSweeps of the level-set work.
-		solve = memoSolve(leafCodes(m), pool, f, step)
+		solve = memoSolve(leafIndex(m), pool, f, step)
 	}
-	im, indexed := m.(indexedMesh)
 	for it := 0; it < SolverSweeps; it++ {
-		var n int
-		if !serial && indexed {
-			// Z-order leaf index: the first sweep walks the tree once to
-			// materialize the leaves; in-place sweeps after it iterate the
-			// flat snapshot with no interior-node reads at all.
-			n = im.UpdateLeavesIndexed(solve)
-		} else {
-			n = m.UpdateLeaves(solve)
-		}
-		if it == 0 {
+		if n := m.UpdateLeaves(solve); it == 0 {
 			sc.Solved = n
 		}
 	}
-	if !serial && indexed {
-		sc.Leaves = len(im.LeafCodesSnapshot())
-	} else {
-		sc.Leaves = m.LeafCount()
-	}
+	sc.Leaves = m.LeafCount()
 	return sc
 }
 
-// tiledMesh is the optional SoA fast-path contract (core.Tree provides
-// it): a gathered Morton-ordered tile image of the leaves plus the
-// scatter writing modified cells back. Field results are bit-identical to
-// the Mesh sweeps; only the modeled device traffic differs, which the
-// parallel driver already does not preserve (see StepFieldPool's doc).
+// tiledMesh is the optional fast-path contract (core.Tree provides it):
+// a cached Z-order leaf index, a gathered Morton-ordered tile image of
+// the leaves, and the scatter writing modified cells back. Field results
+// are bit-identical to the Mesh sweeps; only the modeled device traffic
+// differs, which the parallel driver already does not preserve (see
+// StepFieldPool's doc).
 type tiledMesh interface {
 	Mesh
+	LeafSnapshot() *core.LeafIndex
 	LeafTiles() *tile.Store
 	ScatterLeafTiles(*tile.Store) int
 }
@@ -160,132 +145,73 @@ func tiledSolve(tm tiledMesh, f Field, step int, pool *parallel.Pool) (solved, l
 	return solved, n
 }
 
-// indexedMesh is the optional fast-path contract a mesh may provide
-// (core.Tree does): a cached Z-order leaf snapshot and a leaf sweep
-// driven by it. Field results are bit-identical to the Mesh methods;
-// only the modeled device traffic differs, which the parallel driver
-// already does not preserve (see StepFieldPool's doc).
-type indexedMesh interface {
-	LeafCodesSnapshot() []morton.Code
-	UpdateLeavesIndexed(func(morton.Code, *[DataWords]float64) bool) int
-}
-
-// leafCodes snapshots the mesh's current leaf codes. Meshes with a leaf
-// index serve it from the cached Z-order snapshot (free when still
-// valid); otherwise this is a charged read-only traversal, like any
-// other leaf walk. Callers consume the slice before mutating the mesh.
-func leafCodes(m Mesh) []morton.Code {
-	if im, ok := m.(indexedMesh); ok {
-		return im.LeafCodesSnapshot()
+// leafIndex returns the Z-order index of the mesh's current leaves.
+// core.Tree serves its cached index (free when still valid); any other
+// mesh pays a charged read-only leaf walk, which emits leaves in Z-order.
+// The memos built on it are read while the mesh mutates; core.Tree only
+// rebuilds its index in a later LeafSnapshot call, so that is safe.
+func leafIndex(m Mesh) *core.LeafIndex {
+	if tm, ok := m.(tiledMesh); ok {
+		return tm.LeafSnapshot()
 	}
 	codes := make([]morton.Code, 0, m.LeafCount())
 	m.ForEachLeaf(func(c morton.Code, _ [DataWords]float64) bool {
 		codes = append(codes, c)
 		return true
 	})
-	return codes
+	return core.NewLeafIndex(codes)
 }
 
-// leafParents snapshots the parents of the current leaves, in
-// first-encounter (Z) order. Siblings are contiguous in the Z-ordered
-// leaf walk, so comparing against the previous parent removes their
-// duplicates; a coarse parent interleaved with deeper subtrees (the root,
-// typically) may still appear in several runs, which the memo index
-// tolerates — duplicate entries carry the same value.
-func leafParents(m Mesh) []morton.Code {
-	var parents []morton.Code
-	var last morton.Code
-	for _, c := range leafCodes(m) {
-		if c.Level() == 0 {
-			continue
-		}
-		p := c.Parent()
-		if len(parents) > 0 && p == last {
-			continue
-		}
-		parents = append(parents, p)
-		last = p
-	}
-	return parents
-}
-
-// memoIndex is a sorted exact-match lookup over a code set — the
-// replacement for the per-step map memos. A map pays an allocation and a
-// hash per entry every step; the Z-order spine is already (nearly)
-// sorted, so a binary search over left-aligned keys reads three flat
-// arrays instead. Ties on key (a coarse octant and its first-corner
-// descendants share the left-aligned key) are broken by level.
-type memoIndex struct {
-	keys []uint64
-	lvls []uint8
-	pos  []int32 // sorted entry -> position in the original slice
-}
-
-func buildMemoIndex(codes []morton.Code) *memoIndex {
-	n := len(codes)
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ca, cb := codes[perm[a]], codes[perm[b]]
-		ka, kb := ca.Key(), cb.Key()
-		if ka != kb {
-			return ka < kb
-		}
-		return ca.Level() < cb.Level()
-	})
-	ix := &memoIndex{
-		keys: make([]uint64, n),
-		lvls: make([]uint8, n),
-		pos:  make([]int32, n),
-	}
-	for s, p := range perm {
-		c := codes[p]
-		ix.keys[s] = c.Key()
-		ix.lvls[s] = c.Level()
-		ix.pos[s] = p
-	}
-	return ix
-}
-
-// find returns the original-slice position of c, if present.
-func (ix *memoIndex) find(c morton.Code) (int, bool) {
-	k, l := c.Key(), c.Level()
-	s := sort.Search(len(ix.keys), func(j int) bool {
-		return ix.keys[j] > k || (ix.keys[j] == k && ix.lvls[j] >= l)
-	})
-	if s < len(ix.keys) && ix.keys[s] == k && ix.lvls[s] == l {
-		return int(ix.pos[s]), true
-	}
-	return 0, false
-}
-
-// memoPred evaluates pred over codes on the pool and returns a lookup
-// predicate. Codes outside the snapshot (octants created mid-pass —
-// refinement recursing into fresh children, coarsening cascading upward)
-// fall back to direct evaluation, so the memo is an optimization, never a
-// semantic change.
-func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) bool) func(morton.Code) bool {
+// memoPred evaluates pred at every indexed leaf on the pool and returns a
+// lookup predicate. Codes outside the index (octants created mid-pass —
+// refinement recursing into fresh children) fall back to direct
+// evaluation, so the memo is an optimization, never a semantic change.
+func memoPred(ix *core.LeafIndex, pool *parallel.Pool, pred func(morton.Code) bool) func(morton.Code) bool {
+	codes := ix.Codes()
 	vals := make([]bool, len(codes))
 	pool.Run(len(codes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			vals[i] = pred(codes[i])
 		}
 	})
-	ix := buildMemoIndex(codes)
 	return func(c morton.Code) bool {
-		if i, ok := ix.find(c); ok {
+		if i, ok := ix.Find(c); ok {
 			return vals[i]
 		}
 		return pred(c)
 	}
 }
 
-// memoSolve pre-evaluates the level set at every leaf center on the pool
-// and returns the relaxation sweep reading from the memo (falling back to
-// direct evaluation for unknown codes).
-func memoSolve(codes []morton.Code, pool *parallel.Pool, f Field, step int) func(morton.Code, *[DataWords]float64) bool {
+// memoCoarsen is memoPred for the coarsening predicate, which tests the
+// PARENT of a complete sibling group: parent p's value is stored at the
+// position of its first child. Parents whose first child is not an
+// indexed leaf (coarsening cascading upward) fall back to direct
+// evaluation.
+func memoCoarsen(ix *core.LeafIndex, pool *parallel.Pool, pred func(morton.Code) bool) func(morton.Code) bool {
+	codes := ix.Codes()
+	vals := make([]bool, len(codes))
+	pool.Run(len(codes), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if c := codes[i]; c.Level() > 0 && c.ChildIndex() == 0 {
+				vals[i] = pred(c.Parent())
+			}
+		}
+	})
+	return func(p morton.Code) bool {
+		if p.Level() < morton.MaxLevel {
+			if i, ok := ix.Find(p.Child(0)); ok {
+				return vals[i]
+			}
+		}
+		return pred(p)
+	}
+}
+
+// memoSolve pre-evaluates the level set at every indexed leaf center on
+// the pool and returns the relaxation sweep reading from the memo
+// (falling back to direct evaluation for unknown codes).
+func memoSolve(ix *core.LeafIndex, pool *parallel.Pool, f Field, step int) func(morton.Code, *[DataWords]float64) bool {
+	codes := ix.Codes()
 	phis := make([]float64, len(codes))
 	pool.Run(len(codes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -293,11 +219,10 @@ func memoSolve(codes []morton.Code, pool *parallel.Pool, f Field, step int) func
 			phis[i] = f.PhiAtStep(x, y, z, step)
 		}
 	})
-	ix := buildMemoIndex(codes)
 	speed := f.Speed()
 	return func(c morton.Code, data *[DataWords]float64) bool {
 		var phi float64
-		if i, ok := ix.find(c); ok {
+		if i, ok := ix.Find(c); ok {
 			phi = phis[i]
 		} else {
 			x, y, z := c.Center()

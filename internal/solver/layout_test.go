@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -127,8 +128,12 @@ func TestCellAtMatchesReference(t *testing.T) {
 		e := c.Extent()
 		probe(x, y, z)
 		probe(x-e/2, y-e/2, z-e/2)
+		// Max corner: the cell's last finest cell, one ulp inside.
+		probe(math.Nextafter(x+e/2, 0), math.Nextafter(y+e/2, 0), math.Nextafter(z+e/2, 0))
 	}
 	// Outside and at the far boundary.
+	below1 := math.Nextafter(1, 0)
+	probe(below1, below1, below1)
 	probe(-0.1, 0.5, 0.5)
 	probe(0.5, 1.0, 0.5)
 	probe(1.5, 0.5, 0.5)

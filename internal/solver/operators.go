@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 
 	"pmoctree/internal/morton"
 )
@@ -265,26 +264,19 @@ func (s *System) ProjectedDivergence(u, v, w, p []float64, dt float64, out []flo
 
 // CellAt returns the index of the cell containing the point (x, y, z) in
 // the unit cube, or false when the point is outside. The lookup is one
-// binary search over the sorted left-aligned key index (the internal/serve
-// leaf-lookup idiom) instead of up to MaxLevel map probes — the dominant
-// cost of semi-Lagrangian advection before the flattening.
+// LeafIndex.Containing binary search instead of up to MaxLevel map probes
+// — the dominant cost of semi-Lagrangian advection before the flattening.
 func (s *System) CellAt(x, y, z float64) (int, bool) {
 	if x < 0 || x >= 1 || y < 0 || y >= 1 || z < 0 || z >= 1 {
 		return 0, false
 	}
 	grid := float64(uint64(1) << morton.MaxLevel)
 	code := morton.Encode(uint32(x*grid), uint32(y*grid), uint32(z*grid), morton.MaxLevel)
-	k := code.Key()
-	i := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] > k }) - 1
-	if i < 0 {
+	k, ok := s.cells.Containing(code.Key())
+	if !ok {
 		return 0, false
 	}
-	cand := int(s.perm[i])
-	lo, hi := s.codes[cand].KeySpan()
-	if k >= lo && k < hi {
-		return cand, true
-	}
-	return 0, false
+	return int(s.perm[k]), true
 }
 
 // Extent returns cell i's edge length.

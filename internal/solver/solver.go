@@ -26,6 +26,7 @@ import (
 	"math"
 	"sort"
 
+	"pmoctree/internal/core"
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
 )
@@ -81,11 +82,11 @@ type System struct {
 	extent []float64
 	vol    []float64 // extent^3, evaluated exactly like the sweeps did
 
-	// Sorted point-location index: keys[k] = codes[perm[k]].Key(),
-	// ascending — CellAt binary-searches this instead of probing the map
-	// level by level.
-	keys []uint64
-	perm []int32
+	// Point-location index: cells indexes the codes in Z-order, and
+	// perm[k] is the cell number of its k-th entry. CellAt searches it
+	// instead of probing the map level by level.
+	cells *core.LeafIndex
+	perm  []int32
 
 	ref bool // sweep the legacy AoS layout instead of CSR
 
@@ -231,10 +232,11 @@ func (s *System) flatten() {
 	sort.Slice(s.perm, func(a, b int) bool {
 		return s.codes[s.perm[a]].Key() < s.codes[s.perm[b]].Key()
 	})
-	s.keys = make([]uint64, n)
+	sorted := make([]morton.Code, n)
 	for k, p := range s.perm {
-		s.keys[k] = s.codes[p].Key()
+		sorted[k] = s.codes[p]
 	}
+	s.cells = core.NewLeafIndex(sorted)
 }
 
 // findCoarser walks up the ancestors of n looking for an existing cell.

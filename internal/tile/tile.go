@@ -5,7 +5,7 @@
 // speed flatten quadrants into Morton-indexed SoA arrays (the p4est AVX2
 // representation) or store fixed-size tiles per octree node (the CUDA AMR
 // exemplar in SNIPPETS.md). A Store is exactly that layout for PM-octree:
-// the Z-order leaf index (core.LeafSnapshot) is the spine, each field word
+// the Z-order leaf index (core.LeafIndex) is the spine, each field word
 // becomes one contiguous float64 slice, and the cells are partitioned into
 // fixed-capacity tiles that never span a coarse-ancestor boundary — the
 // scheduling and reporting granule.
