@@ -8,6 +8,7 @@ package pmoctree_test
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -461,6 +462,62 @@ func BenchmarkSolverMGvsCG(b *testing.B) {
 		}
 		b.ReportMetric(float64(iters), "iterations")
 	})
+}
+
+// --- Balance: one violator pass vs the charged walk it is built on ---
+
+var balanceBench struct {
+	once sync.Once
+	tree *core.Tree
+}
+
+// benchBalanceTree bulk-constructs the droplet ejection mesh of step 40 at
+// maxlevel 7 (~1.3e4 leaves; stepping there keeps more), commits it
+// behind cmd/droplet's 2048-octant C0 budget, and shares it between the
+// Balance benchmarks.
+func benchBalanceTree(b *testing.B) *core.Tree {
+	balanceBench.once.Do(func() {
+		tree := core.Create(core.Config{DRAMBudgetOctants: 2048})
+		d := sim.NewDroplet(sim.DropletConfig{Steps: 50})
+		tree.SetFeatures(sim.FeatureOf(d, 40))
+		if _, ok := sim.ConstructInitial(tree, d, 40, 7, nil); ok {
+			tree.Persist()
+			balanceBench.tree = tree
+		}
+	})
+	if balanceBench.tree == nil {
+		b.Fatal("bulk construction of the balance benchmark mesh declined")
+	}
+	return balanceBench.tree
+}
+
+// BenchmarkBalancePass is one Balance on an already-balanced maxlevel-7
+// droplet tree: a single violator pass that finds nothing. CI gates its
+// same-run ratio to BenchmarkNodeWalk, one charged ForEachNode over the
+// same tree, as the core.balance layer gate.
+func BenchmarkBalancePass(b *testing.B) {
+	tree := benchBalanceTree(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := tree.Balance(); n != 0 {
+			b.Fatalf("balanced tree took %d splits", n)
+		}
+	}
+	b.ReportMetric(float64(tree.LeafCount()), "leaves")
+}
+
+func BenchmarkNodeWalk(b *testing.B) {
+	tree := benchBalanceTree(b)
+	nodes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes = 0
+		tree.ForEachNode(func(core.Ref, *core.Octant) bool {
+			nodes++
+			return true
+		})
+	}
+	b.ReportMetric(float64(nodes), "nodes")
 }
 
 // --- Octant fast path: repeated leaf sweeps + refine pass (walk vs index) ---

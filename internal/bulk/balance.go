@@ -22,59 +22,30 @@ func Balance(leaves []morton.Code, pool *parallel.Pool) ([]morton.Code, error) {
 }
 
 // balanceClosure iterates split rounds until no leaf violates the 2:1
-// face constraint. Each round replicates core.findViolators exactly: every
-// leaf at level >= 2 probes its up-to-6 same-level face neighbors
-// (siblings inside its own parent are skipped — same level by
-// construction), locates the leaf covering each neighbor's anchor cell,
-// and marks it for splitting when it is more than one level coarser.
+// face constraint. Each round runs the violator finder it shares with
+// core.Tree.Balance, FaceCovers, and marks a covering leaf for splitting
+// when it is more than one level coarser than the leaf that probed it.
 // Split children inherit the split leaf's src index, mirroring how
 // incremental refinement copies payload down to new children.
 //
-// The marking pass writes one slot per (probing leaf, face), so which
-// leaves split in a round — and therefore the fixed point's leaf order —
-// never depends on chunk boundaries. The fixed point itself is the unique
+// FaceCovers writes one slot per (probing leaf, axis), so which leaves
+// split in a round — and therefore the fixed point's leaf order — never
+// depends on chunk boundaries. The fixed point itself is the unique
 // minimal balanced refinement, the same set core.Tree.Balance produces.
 func balanceClosure(leaves []morton.Code, src []int32, pool *parallel.Pool) ([]morton.Code, []int32) {
 	for {
 		n := len(leaves)
-		cells := make([]uint64, n)
+		keys := make([]uint64, n)
 		pool.Run(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				cells[i] = leaves[i].Key() >> 6
-			}
-		})
-		viol := make([]int32, 6*n)
-		pool.Run(n, func(lo, hi int) {
-			var scratch [6]morton.Code
-			for i := lo; i < hi; i++ {
-				for f := 0; f < 6; f++ {
-					viol[6*i+f] = -1
-				}
-				o := leaves[i]
-				if o.Level() < 2 {
-					continue
-				}
-				par := o.Parent()
-				for f, nb := range o.FaceNeighbors(scratch[:0]) {
-					if nb.Parent() == par {
-						continue
-					}
-					// int arithmetic: when the neighbor region is MORE
-					// refined the covering leaf is deeper than o and the
-					// difference goes negative (core's FindLeaf returns an
-					// internal node there and skips it the same way).
-					j := coveringLeaf(cells, nb)
-					if int(o.Level())-int(leaves[j].Level()) > 1 {
-						viol[6*i+f] = int32(j)
-					}
-				}
+				keys[i] = leaves[i].Key()
 			}
 		})
 		split := make([]bool, n)
 		nsplit := 0
-		for _, v := range viol {
-			if v >= 0 && !split[v] {
-				split[v] = true
+		for s, j := range FaceCovers(keys, pool) {
+			if j >= 0 && int(leaves[s/3].Level())-int(leaves[j].Level()) > 1 && !split[j] {
+				split[j] = true
 				nsplit++
 			}
 		}
@@ -100,11 +71,41 @@ func balanceClosure(leaves []morton.Code, src []int32, pool *parallel.Pool) ([]m
 	}
 }
 
-// coveringLeaf returns the index of the leaf whose region contains the
-// anchor cell of nb: because the sorted leaves partition the domain, it is
-// the last leaf whose start cell is <= nb's start cell. This is the flat
-// equivalent of core's FindLeaf walk.
-func coveringLeaf(cells []uint64, nb morton.Code) int {
-	cell := nb.Key() >> 6
-	return sort.Search(len(cells), func(k int) bool { return cells[k] > cell }) - 1
+// FaceCovers is the 2:1 violator finder over a flat leaf array: it
+// resolves every leaf's outward face neighbours to the leaves covering
+// them. keys are the leaves' Keys, ascending, and the leaves must
+// partition the domain.
+//
+// A leaf's face neighbours inside its own parent are its siblings, the
+// same level by construction, so each leaf has at most one outward
+// neighbour per axis: +1 from an odd coordinate, -1 from an even one.
+// Slot 3*i+a holds the index of the leaf covering leaf i's outward
+// neighbour along axis a (x, y, z), or -1 where that face lies on the
+// domain boundary. The covering leaf is found by binary search for the
+// neighbour's first MaxLevel cell: the bare neighbour Key would sort
+// before a finer leaf anchored at the same corner and miss it. When the
+// neighbour region is more refined than the neighbour itself, the cover is
+// the finer leaf at that corner.
+func FaceCovers(keys []uint64, pool *parallel.Pool) []int32 {
+	out := make([]int32, 3*len(keys))
+	pool.Run(len(keys), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, y, z, l := morton.FromKey(keys[i]).Decode()
+			for a := 0; a < 3; a++ {
+				nb := [3]uint32{x, y, z}
+				if nb[a]&1 == 1 {
+					nb[a]++
+				} else {
+					nb[a]-- // wraps past the grid from 0
+				}
+				if nb[a] >= 1<<l {
+					out[3*i+a] = -1
+					continue
+				}
+				cell := morton.Encode(nb[0], nb[1], nb[2], l).Key()&^63 | morton.MaxLevel
+				out[3*i+a] = int32(sort.Search(len(keys), func(k int) bool { return keys[k] > cell }) - 1)
+			}
+		}
+	})
+	return out
 }

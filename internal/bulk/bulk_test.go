@@ -280,20 +280,24 @@ func unbalancedSet(deep uint8) []morton.Code {
 	}, deep)
 }
 
+// faceBalanced is the brute-force 2:1 check: a face neighbour's region is
+// covered by a leaf that is the neighbour or one of its ancestors, or it is
+// more refined than the neighbour and cannot be too coarse.
 func faceBalanced(leaves []morton.Code) bool {
-	cells := make([]uint64, len(leaves))
-	for i, c := range leaves {
-		cells[i] = c.Key() >> 6
+	isLeaf := make(map[morton.Code]bool, len(leaves))
+	for _, c := range leaves {
+		isLeaf[c] = true
 	}
 	var scratch [6]morton.Code
 	for _, o := range leaves {
-		if o.Level() < 2 {
-			continue
-		}
 		for _, nb := range o.FaceNeighbors(scratch[:0]) {
-			j := coveringLeaf(cells, nb)
-			if int(o.Level())-int(leaves[j].Level()) > 1 {
-				return false
+			for l := int(nb.Level()); l >= 0; l-- {
+				if a := nb.AncestorAt(uint8(l)); isLeaf[a] {
+					if int(o.Level())-l > 1 {
+						return false
+					}
+					break
+				}
 			}
 		}
 	}

@@ -1,6 +1,11 @@
 package core
 
-import "pmoctree/internal/morton"
+import (
+	"math/bits"
+
+	"pmoctree/internal/bulk"
+	"pmoctree/internal/morton"
+)
 
 // Balance enforces the 2:1 constraint across faces on the working version,
 // exactly as the in-core baseline does, but through the PM-octree write
@@ -41,30 +46,63 @@ func (t *Tree) refineLeafIfPresent(code morton.Code) bool {
 }
 
 // findViolators scans leaves once and returns the distinct codes of
-// too-coarse neighbor leaves. Face neighbors inside a leaf's own parent
-// are siblings at the same level and can never violate, so only the
-// outward faces are probed.
+// too-coarse neighbor leaves, first-seen over leaves in Z-order and their
+// outward faces in axis order. The scan is one charged walk collecting the
+// leaves' keys; bulk.FaceCovers, the finder bulk.Balance uses, then
+// resolves each outward face neighbor to its covering leaf by binary
+// search over them.
+//
+// Each probe is charged as the FindLeaf descent it replaces: the root-to-
+// leaf path toward the neighbor reads min(level(cover), level(neighbor))+1
+// octants, each from the device its ref lives on, and touches each one for
+// the LFA counts. The walk records, per leaf, which root-path levels are
+// DRAM refs and which levels shallower than L_sub are hot, so those
+// charges and touches are added in bulk once every probe is resolved. No
+// refine runs before the pass returns, so the batching is exact.
 func (t *Tree) findViolators() []morton.Code {
-	seen := map[morton.Code]bool{}
-	var out []morton.Code
-	var scratch [6]morton.Code
-	t.ForEachNode(func(_ Ref, o *Octant) bool {
-		if !o.IsLeaf() || o.Code.Level() < 2 {
-			return true
+	var keys []uint64
+	var dramPath, hotPath []uint32 // bit d: the level-d root-path node
+	var dram, hot uint32
+	t.ForEachNode(func(r Ref, o *Octant) bool {
+		l := o.Code.Level()
+		dram, hot = dram&(1<<l-1), hot&(1<<l-1)
+		if r.InDRAM() {
+			dram |= 1 << l
 		}
-		parent := o.Code.Parent()
-		for _, ncode := range o.Code.FaceNeighbors(scratch[:0]) {
-			if ncode.Parent() == parent {
-				continue // sibling: same level by construction
-			}
-			_, leaf := t.FindLeaf(ncode)
-			if leaf.IsLeaf() && o.Code.Level()-leaf.Code.Level() > 1 && !seen[leaf.Code] {
-				seen[leaf.Code] = true
-				out = append(out, leaf.Code)
-			}
+		if l < t.lsub && t.hot[o.Code] {
+			hot |= 1 << l
+		}
+		if o.IsLeaf() {
+			keys = append(keys, o.Code.Key())
+			dramPath, hotPath = append(dramPath, dram), append(hotPath, hot)
 		}
 		return true
 	})
+	seen := make([]bool, len(keys))
+	var out []morton.Code
+	var dramReads, reads int
+	for s, j := range bulk.FaceCovers(keys, nil) {
+		if j < 0 {
+			continue
+		}
+		li, lj := int(keys[s/3]&63), int(keys[j]&63)
+		n := min(li, lj) + 1
+		reads += n
+		dramReads += bits.OnesCount32(dramPath[j] & (1<<n - 1))
+		cover := morton.FromKey(keys[j])
+		if n > int(t.lsub) {
+			t.access[cover.AncestorAt(t.lsub)] += uint64(n - int(t.lsub))
+		}
+		for h := hotPath[j] & (1<<min(n, int(t.lsub)) - 1); h != 0; h &= h - 1 {
+			t.access[cover.AncestorAt(uint8(bits.TrailingZeros32(h)))]++
+		}
+		if li-lj > 1 && !seen[j] {
+			seen[j] = true
+			out = append(out, cover)
+		}
+	}
+	t.cfg.DRAMDevice.ChargeReadN(dramReads, RecordSize)
+	t.cfg.NVBMDevice.ChargeReadN(reads-dramReads, RecordSize)
 	return out
 }
 

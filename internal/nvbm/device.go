@@ -207,7 +207,7 @@ func (d *Device) ReadAt(off int, p []byte) {
 	}
 	copy(p, d.data[off:])
 	d.mu.RUnlock()
-	d.chargeRead(len(p))
+	d.ChargeReadN(1, len(p))
 }
 
 // ErrPowerLost is the panic value raised by any access to a device whose
@@ -266,7 +266,7 @@ func (d *Device) WriteAt(off int, p []byte) {
 		}
 	}
 	d.mu.RUnlock()
-	d.chargeWrite(len(p))
+	d.ChargeWriteN(1, len(p))
 }
 
 // WriteAtExclusive is WriteAt under the device's exclusive lock. The
@@ -300,7 +300,7 @@ func (d *Device) WriteAtExclusive(off int, p []byte) {
 		}
 	}
 	d.mu.Unlock()
-	d.chargeWrite(len(p))
+	d.ChargeWriteN(1, len(p))
 }
 
 // ReadU64 reads a little-endian uint64 at offset off.
@@ -370,20 +370,26 @@ func (d *Device) PowerLost() bool { return d.powerCut.Load() == 0 }
 // ChargeRead accounts a read of n bytes without moving data. Subsystems
 // use it to model I/O whose payload is tracked elsewhere (e.g. B-tree
 // index pages held in a volatile cache but homed on this device).
-func (d *Device) ChargeRead(n int) { d.chargeRead(n) }
+func (d *Device) ChargeRead(n int) { d.ChargeReadN(1, n) }
 
 // ChargeWrite accounts a write of n bytes without moving data.
-func (d *Device) ChargeWrite(n int) { d.chargeWrite(n) }
+func (d *Device) ChargeWrite(n int) { d.ChargeWriteN(1, n) }
 
 // ChargeReadN accounts count independent reads of bytesEach bytes in one
-// call (bulk form of ChargeRead for modeling traversals).
+// call (bulk form of ChargeRead for modeling traversals). Every read
+// charges through it, so under delay injection a bulk charge spins for
+// its whole modeled latency, as count separate reads would.
 func (d *Device) ChargeReadN(count, bytesEach int) {
 	if count <= 0 || d.unmetered.Load() {
 		return
 	}
 	d.reads.Add(uint64(count))
 	d.readBytes.Add(uint64(count * bytesEach))
-	d.modeledNs.Add(uint64(count) * d.lat.ReadNanos(bytesEach))
+	ns := uint64(count) * d.lat.ReadNanos(bytesEach)
+	d.modeledNs.Add(ns)
+	if d.inject.Load() {
+		spin(ns)
+	}
 }
 
 // ModeledReadCost returns the modeled nanoseconds count independent reads
@@ -397,43 +403,22 @@ func (d *Device) ModeledReadCost(count, bytesEach int) uint64 {
 	return uint64(count) * d.lat.ReadNanos(bytesEach)
 }
 
-// ChargeWriteN accounts count independent writes of bytesEach bytes.
+// ChargeWriteN accounts count independent writes of bytesEach bytes; every
+// write charges through it, as every read does through ChargeReadN.
 func (d *Device) ChargeWriteN(count, bytesEach int) {
 	if count <= 0 || d.unmetered.Load() {
 		return
 	}
 	d.writes.Add(uint64(count))
 	d.writeBytes.Add(uint64(count * bytesEach))
-	d.modeledNs.Add(uint64(count) * d.lat.WriteNanos(bytesEach))
+	ns := uint64(count) * d.lat.WriteNanos(bytesEach)
+	d.modeledNs.Add(ns)
+	if d.inject.Load() {
+		spin(ns)
+	}
 }
 
 // SetAccounting enables or disables latency and statistics accounting.
 // Instrumentation walks (overlap-ratio measurement, validation) disable it
 // so that observing an experiment does not perturb it.
 func (d *Device) SetAccounting(on bool) { d.unmetered.Store(!on) }
-
-func (d *Device) chargeRead(n int) {
-	if d.unmetered.Load() {
-		return
-	}
-	d.reads.Add(1)
-	d.readBytes.Add(uint64(n))
-	ns := d.lat.ReadNanos(n)
-	d.modeledNs.Add(ns)
-	if d.inject.Load() {
-		spin(ns)
-	}
-}
-
-func (d *Device) chargeWrite(n int) {
-	if d.unmetered.Load() {
-		return
-	}
-	d.writes.Add(1)
-	d.writeBytes.Add(uint64(n))
-	ns := d.lat.WriteNanos(n)
-	d.modeledNs.Add(ns)
-	if d.inject.Load() {
-		spin(ns)
-	}
-}

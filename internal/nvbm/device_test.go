@@ -515,3 +515,33 @@ func TestDelayInjectionWallClock(t *testing.T) {
 		t.Errorf("wall %v < modeled %v: injection not delaying", elapsed, modeled)
 	}
 }
+
+// The bulk charges stand in for count separate accesses, so under delay
+// injection they must spin for the same wall time those accesses would,
+// and with injection off they must not spin at all.
+func TestChargeNDelayInjection(t *testing.T) {
+	const k = 20000
+	d := New(NVBM, 0)
+	for _, tc := range []struct {
+		name   string
+		charge func()
+		ns     uint64
+	}{
+		{"ChargeReadN", func() { d.ChargeReadN(k, 64) }, k * d.lat.ReadNanos(64)},
+		{"ChargeWriteN", func() { d.ChargeWriteN(k, 64) }, k * d.lat.WriteNanos(64)},
+	} {
+		modeled := time.Duration(tc.ns)
+		d.SetDelayInjection(true)
+		start := time.Now()
+		tc.charge()
+		if wall := time.Since(start); wall < modeled {
+			t.Errorf("%s injected: wall %v < modeled %v", tc.name, wall, modeled)
+		}
+		d.SetDelayInjection(false)
+		start = time.Now()
+		tc.charge()
+		if wall := time.Since(start); wall >= modeled {
+			t.Errorf("%s uninjected: wall %v, want far below modeled %v", tc.name, wall, modeled)
+		}
+	}
+}
