@@ -108,7 +108,7 @@ func TestCompactedLayoutIsZOrdered(t *testing.T) {
 	// children's (traversal reads move forward through the region).
 	ok := true
 	tr.setAccounting(false)
-	tr.walk(tr.CommittedRoot(), func(r Ref, o *Octant) bool {
+	tr.walk(tr.CommittedRoot(), newWalkStack(), func(r Ref, o *Octant) bool {
 		for _, c := range o.Children {
 			if !c.IsNil() && c.Handle() <= r.Handle() {
 				ok = false

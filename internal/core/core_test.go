@@ -46,7 +46,7 @@ func sphere(cx, cy, cz, rad, band float64) func(morton.Code) bool {
 func leafSet(t *Tree, r Ref) map[morton.Code][DataWords]float64 {
 	out := map[morton.Code][DataWords]float64{}
 	t.setAccounting(false)
-	t.walk(r, func(_ Ref, o *Octant) bool {
+	t.walk(r, newWalkStack(), func(_ Ref, o *Octant) bool {
 		if o.IsLeaf() {
 			out[o.Code] = o.Data
 		}
@@ -139,7 +139,7 @@ func TestPersistCommitsWorkingVersion(t *testing.T) {
 	}
 	// After persist the whole version is NVBM-closed.
 	tr.setAccounting(false)
-	tr.walk(tr.Root(), func(r Ref, o *Octant) bool {
+	tr.walk(tr.Root(), newWalkStack(), func(r Ref, o *Octant) bool {
 		if r.InDRAM() {
 			t.Fatalf("octant %v still in DRAM after persist", o.Code)
 		}

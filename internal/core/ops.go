@@ -38,12 +38,14 @@ func (t *Tree) FindLeaf(code morton.Code) (Ref, Octant) {
 }
 
 // ForEachNode visits every working-version octant in Z-order pre-order.
-// Return false from fn to stop early.
+// Return false from fn to stop early. o is valid only until fn returns:
+// the walk decodes into a per-call stack it reuses level by level.
 func (t *Tree) ForEachNode(fn func(r Ref, o *Octant) bool) {
-	t.walk(t.cur, fn)
+	t.walk(t.cur, newWalkStack(), fn)
 }
 
-// ForEachCommittedNode visits every octant of the committed version.
+// ForEachCommittedNode visits every octant of the committed version, with
+// ForEachNode's rules for fn and o.
 //
 // The committed version is immutable and this walk is side-effect-free on
 // the tree — no access accounting, no decoded-cache fills, and a per-call
@@ -53,43 +55,51 @@ func (t *Tree) ForEachNode(fn func(r Ref, o *Octant) bool) {
 // working-version walks and all mutations, shares t.scratch and the
 // volatile access/cache state and remains single-threaded by contract.
 func (t *Tree) ForEachCommittedNode(fn func(r Ref, o *Octant) bool) {
-	t.walkRO(t.committed, fn)
+	t.walkRO(t.committed, newWalkStack(), fn)
 }
 
+// newWalkStack returns the decode stack of one tree walk: one octant per
+// level, root to MaxLevel, so a walk allocates once rather than once per
+// visited node. It is per call, not per Tree, so a walk started from
+// another walk's callback does not overwrite the outer walk's octants.
+func newWalkStack() []Octant { return make([]Octant, morton.MaxLevel+1) }
+
 // walkRO is the read-only, concurrency-safe form of walk: charged device
-// reads into a per-call buffer, no touch, no cache.
-func (t *Tree) walkRO(r Ref, fn func(Ref, *Octant) bool) bool {
+// reads into a per-call buffer, no touch, no cache. st[0] holds the
+// octant at r; its children decode into st[1:].
+func (t *Tree) walkRO(r Ref, st []Octant, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true
 	}
 	var buf [RecordSize]byte
-	var o Octant
+	o := &st[0]
 	// chargedRead rather than a raw arena read: under the persist
 	// pipeline the committed walk may reach octants still awaiting
 	// writeback, whose truth is the pipeline's pending set.
 	t.chargedRead(r, buf[:])
 	o.decode(buf[:])
-	if !fn(r, &o) {
+	if !fn(r, o) {
 		return false
 	}
 	for _, c := range o.Children {
-		if !c.IsNil() && !t.walkRO(c, fn) {
+		if !c.IsNil() && !t.walkRO(c, st[1:], fn) {
 			return false
 		}
 	}
 	return true
 }
 
-func (t *Tree) walk(r Ref, fn func(Ref, *Octant) bool) bool {
+func (t *Tree) walk(r Ref, st []Octant, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true
 	}
-	o := t.readOct(r)
-	if !fn(r, &o) {
+	o := &st[0]
+	*o = t.readOct(r)
+	if !fn(r, o) {
 		return false
 	}
 	for _, c := range o.Children {
-		if !c.IsNil() && !t.walk(c, fn) {
+		if !c.IsNil() && !t.walk(c, st[1:], fn) {
 			return false
 		}
 	}
@@ -370,24 +380,26 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 func (t *Tree) UpdateLeaves(fn func(code morton.Code, data *[DataWords]float64) bool) int {
 	defer t.span("Solve").End()
 	changedLeaves := 0
-	nr, _ := t.updateWalk(t.cur, fn, &changedLeaves)
+	nr, _ := t.updateWalk(t.cur, newWalkStack(), fn, &changedLeaves)
 	t.cur = nr
 	t.maybeEvict()
 	return changedLeaves
 }
 
-func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool, n *int) (Ref, bool) {
-	o := t.readOct(r)
+// updateWalk decodes the octant at r into st[0] (see newWalkStack).
+func (t *Tree) updateWalk(r Ref, st []Octant, fn func(morton.Code, *[DataWords]float64) bool, n *int) (Ref, bool) {
+	o := &st[0]
+	*o = t.readOct(r)
 	if o.IsLeaf() {
 		if !fn(o.Code, &o.Data) {
 			return r, false
 		}
 		*n++
-		if t.inPlace(r, &o) {
-			t.writeDataField(r, &o)
+		if t.inPlace(r, o) {
+			t.writeDataField(r, o)
 			return r, false
 		}
-		nr := t.commitOctant(r, &o)
+		nr := t.commitOctant(r, o)
 		return nr, true
 	}
 	changed := false
@@ -396,7 +408,7 @@ func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool,
 		if c.IsNil() {
 			continue
 		}
-		nc, chg := t.updateWalk(c, fn, n)
+		nc, chg := t.updateWalk(c, st[1:], fn, n)
 		if chg {
 			o.Children[i] = nc
 			chIdx[i] = true
@@ -406,18 +418,19 @@ func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool,
 	if !changed {
 		return r, false
 	}
-	if t.inPlace(r, &o) {
-		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
+	if t.inPlace(r, o) {
+		t.writeChildren(r, o)
+		t.reparentChanged(r, o, &chIdx)
 		return r, false
 	}
-	nr := t.commitOctant(r, &o)
+	nr := t.commitOctant(r, o)
 	return nr, true
 }
 
 // UpdateAt rewrites the data of the leaf containing code via fn,
 // copy-on-write. It returns false if code is not covered by a leaf...
-// (every location is covered; false only for out-of-tree refs).
+// (every location is covered; false only for out-of-tree refs). data is
+// tree-owned scratch: fn must not call UpdateAt itself.
 func (t *Tree) UpdateAt(code morton.Code, fn func(data *[DataWords]float64)) bool {
 	nr, ok := t.updateAtWalk(t.cur, code, fn)
 	if ok {
@@ -429,7 +442,11 @@ func (t *Tree) UpdateAt(code morton.Code, fn func(data *[DataWords]float64)) boo
 func (t *Tree) updateAtWalk(r Ref, code morton.Code, fn func(*[DataWords]float64)) (Ref, bool) {
 	o := t.readOct(r)
 	if o.IsLeaf() {
-		fn(&o.Data)
+		// fn gets the tree-owned scratch rather than &o.Data, which would
+		// move every octant on the descent to the heap.
+		t.dataScratch = o.Data
+		fn(&t.dataScratch)
+		o.Data = t.dataScratch
 		if t.inPlace(r, &o) {
 			t.writeDataField(r, &o)
 			return r, true

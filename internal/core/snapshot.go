@@ -227,12 +227,12 @@ func (p *VersionPin) ReadOctant(r Ref) Octant {
 }
 
 // ForEachNode visits every octant of the pinned version in Z-order
-// pre-order. Return false from fn to stop early. Safe from any goroutine;
-// the walk charges one device read per visited octant, exactly like the
-// single-threaded committed walk.
+// pre-order, with Tree.ForEachNode's rules for fn and o. Safe from any
+// goroutine; the walk charges one device read per visited octant,
+// exactly like the single-threaded committed walk.
 func (p *VersionPin) ForEachNode(fn func(r Ref, o *Octant) bool) {
 	var buf [RecordSize]byte
-	p.walk(p.root, buf[:], fn)
+	p.walk(p.root, buf[:], newWalkStack(), fn)
 }
 
 // BuildLeafIndex indexes the pinned version's leaves with one charged
@@ -244,17 +244,17 @@ func (p *VersionPin) BuildLeafIndex() *LeafIndex {
 	return ix
 }
 
-func (p *VersionPin) walk(r Ref, buf []byte, fn func(Ref, *Octant) bool) bool {
+func (p *VersionPin) walk(r Ref, buf []byte, st []Octant, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true
 	}
-	var o Octant
-	p.readInto(r, buf, &o)
-	if !fn(r, &o) {
+	o := &st[0]
+	p.readInto(r, buf, o)
+	if !fn(r, o) {
 		return false
 	}
 	for _, c := range o.Children {
-		if !c.IsNil() && !p.walk(c, buf, fn) {
+		if !c.IsNil() && !p.walk(c, buf, st[1:], fn) {
 			return false
 		}
 	}

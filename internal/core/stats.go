@@ -41,7 +41,7 @@ func (t *Tree) VersionStats() VersionStats {
 
 	prev := map[pmem.Handle]bool{}
 	prevCount := 0
-	t.walk(t.committed, func(r Ref, _ *Octant) bool {
+	t.walk(t.committed, newWalkStack(), func(r Ref, _ *Octant) bool {
 		prevCount++
 		if !r.InDRAM() {
 			prev[r.Handle()] = true
@@ -51,7 +51,7 @@ func (t *Tree) VersionStats() VersionStats {
 
 	var vs VersionStats
 	vs.PrevOctants = prevCount
-	t.walk(t.cur, func(r Ref, _ *Octant) bool {
+	t.walk(t.cur, newWalkStack(), func(r Ref, _ *Octant) bool {
 		vs.CurOctants++
 		if r.InDRAM() {
 			vs.DRAMOctants++
@@ -103,7 +103,7 @@ func (t *Tree) Validate() error {
 	defer t.setAccounting(true)
 	// Committed version must be NVBM-closed and structurally sound.
 	var err error
-	t.walk(t.committed, func(r Ref, o *Octant) bool {
+	t.walk(t.committed, newWalkStack(), func(r Ref, o *Octant) bool {
 		if r.InDRAM() {
 			err = t.verrf("committed octant %v resides in DRAM", o.Code)
 			return false
@@ -137,7 +137,7 @@ func (t *Tree) Validate() error {
 	}
 	// Working version: codes consistent, slots live, current-version
 	// parent refs exact.
-	t.walk(t.cur, func(r Ref, o *Octant) bool {
+	t.walk(t.cur, newWalkStack(), func(r Ref, o *Octant) bool {
 		if !t.arenaFor(r).Live(r.Handle()) {
 			err = t.verrf("working octant %v points at a freed slot", o.Code)
 			return false

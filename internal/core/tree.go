@@ -182,6 +182,10 @@ type Tree struct {
 	tel     *telemetry.Tracer         // nil when telemetry is off
 	flight  *telemetry.FlightRecorder // nil when the flight recorder is off
 
+	// dataScratch is the leaf data UpdateAt hands its callback, so the
+	// octants of its descent stay off the heap.
+	dataScratch [DataWords]float64
+
 	// Octant fast path (cache.go, leafindex.go): the direct-mapped
 	// decoded-octant cache with its epoch stamp, the Z-order leaf index
 	// with its mutation-sequence stamp, and the fast-path counters.

@@ -60,25 +60,33 @@ const LineSize = 64
 // devices with New.
 //
 // Concurrency contract (the one parallel solver sweeps rely on): reads
-// and writes to DISJOINT byte ranges may proceed concurrently with each
-// other and with Grow — accounting and wear counters are atomic, and
-// growth is serialized against in-flight accesses, so no access ever
-// observes a half-swapped backing array and no wear increment is lost.
-// Reads may additionally OVERLAP other reads freely: a read mutates
-// nothing but atomic counters, so any number of goroutines may issue
-// charged reads (ReadAt, ChargeReadN) against the same committed lines —
-// the MVCC serving layer's snapshot readers do exactly that while the
-// simulation writer keeps writing other lines. Overlapping writes (or a
-// write overlapping a read) race exactly like raw memory: the data
-// outcome is undefined, though the device structure and its counters stay
-// consistent. Callers that share mutable ranges must synchronize, just as
-// they would for a []byte.
+// take no lock. ReadAt loads the backing array from an atomically
+// published slice, so any number of goroutines may read while writers,
+// Grow and image restore run. A read that overlaps Grow sees either the
+// old or the new array, and both hold the committed bytes: Grow copies
+// under the exclusive lock, which no writer holds at the same time.
+// Writes to DISJOINT byte ranges may proceed concurrently with each other
+// and with reads; accounting and wear counters are atomic, and growth is
+// serialized against in-flight writes, so no wear increment is lost.
+// The MVCC serving layer's snapshot readers rely on this: they read
+// committed lines while the simulation writer keeps writing other lines.
+// Overlapping writes (or a write overlapping a read) race exactly like
+// raw memory: the data outcome is undefined, though the device structure
+// and its counters stay consistent. The same holds for the operations
+// that rewrite bytes in place under the exclusive lock (FlipBit, Scrub,
+// a DRAM Crash): they exclude writers, not lock-free readers, so callers
+// keep readers off the range they rewrite, as they would for a []byte.
 type Device struct {
 	kind Kind
-	lat  Latency
+	lat  Latency // set before the first charge and never changed (Stats folds with it)
 
-	mu      sync.RWMutex // guards growth of data/wear/lineCRC, and spare
-	data    []byte
+	mu   sync.RWMutex // guards growth of data/wear/lineCRC, and spare
+	data []byte
+	// view publishes a copy of the data slice header for lock-free
+	// reads; it is stored under the exclusive lock whenever data is
+	// replaced. It never points at data itself: that field is rewritten
+	// under the lock while readers dereference view.
+	view    atomic.Pointer[[]byte]
 	wear    []uint32 // per-LineSize-line write counts (NVBM only)
 	lineCRC []uint32 // per-line CRC-32 shadow (media tracking; see faults.go)
 	spare   int      // spare lines available for remapping worn-out lines
@@ -100,6 +108,12 @@ type Device struct {
 	// at or beyond it silently drop stores until scrub remaps them.
 	wearLimit atomic.Uint32
 
+	// Access counters. A charge of fewer than bucketSizes bytes per
+	// access is one atomic add to its size's bucket; Stats folds the
+	// buckets into operations, bytes and modeled latency. Larger charges
+	// add to the op/byte/latency triple directly.
+	readsBy    [bucketSizes]atomic.Uint64
+	writesBy   [bucketSizes]atomic.Uint64
 	reads      atomic.Uint64
 	writes     atomic.Uint64
 	readBytes  atomic.Uint64
@@ -126,12 +140,20 @@ func New(kind Kind, size int) *Device {
 	if size < 0 {
 		panic("nvbm: negative device size")
 	}
-	d := &Device{kind: kind, lat: DefaultLatency(kind), data: make([]byte, size)}
+	d := &Device{kind: kind, lat: DefaultLatency(kind)}
+	d.setData(make([]byte, size))
 	if kind == NVBM {
 		d.wear = make([]uint32, (size+LineSize-1)/LineSize)
 	}
 	d.powerCut.Store(-1)
 	return d
+}
+
+// setData replaces the backing array and publishes it to lock-free
+// readers. Callers hold the exclusive lock (or own d exclusively).
+func (d *Device) setData(b []byte) {
+	d.data = b
+	d.view.Store(&b)
 }
 
 // NewWithLatency creates a Device with an explicit latency model.
@@ -148,11 +170,7 @@ func (d *Device) Kind() Kind { return d.kind }
 func (d *Device) Latency() Latency { return d.lat }
 
 // Size returns the current capacity of the device in bytes.
-func (d *Device) Size() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.data)
-}
+func (d *Device) Size() int { return len(*d.view.Load()) }
 
 // SetDelayInjection enables or disables CPU spin delays on every access, in
 // addition to the always-on deterministic latency accounting.
@@ -173,7 +191,7 @@ func (d *Device) Grow(size int) {
 	oldLen := len(d.data)
 	nd := make([]byte, size)
 	copy(nd, d.data)
-	d.data = nd
+	d.setData(nd)
 	if d.kind == NVBM {
 		nw := make([]uint32, (size+LineSize-1)/LineSize)
 		copy(nw, d.wear)
@@ -194,19 +212,18 @@ func (d *Device) Grow(size int) {
 }
 
 // ReadAt copies len(p) bytes starting at offset off into p, charging read
-// latency for one access of len(p) bytes. Panics with ErrPowerLost after
-// an expired power cut.
+// latency for one access of len(p) bytes. It takes no lock (see the
+// concurrency contract on Device). Panics with ErrPowerLost after an
+// expired power cut.
 func (d *Device) ReadAt(off int, p []byte) {
 	if d.powerCut.Load() == 0 {
 		panic(ErrPowerLost)
 	}
-	d.mu.RLock()
-	if off < 0 || off+len(p) > len(d.data) {
-		d.mu.RUnlock()
-		panic(fmt.Sprintf("nvbm: read [%d,%d) out of range (size %d)", off, off+len(p), d.Size()))
+	data := *d.view.Load()
+	if off < 0 || off+len(p) > len(data) {
+		panic(fmt.Sprintf("nvbm: read [%d,%d) out of range (size %d)", off, off+len(p), len(data)))
 	}
-	copy(p, d.data[off:])
-	d.mu.RUnlock()
+	copy(p, data[off:])
 	d.ChargeReadN(1, len(p))
 }
 
@@ -383,12 +400,15 @@ func (d *Device) ChargeReadN(count, bytesEach int) {
 	if count <= 0 || d.unmetered.Load() {
 		return
 	}
-	d.reads.Add(uint64(count))
-	d.readBytes.Add(uint64(count * bytesEach))
-	ns := uint64(count) * d.lat.ReadNanos(bytesEach)
-	d.modeledNs.Add(ns)
+	if uint(bytesEach) < bucketSizes {
+		d.readsBy[bytesEach].Add(uint64(count))
+	} else {
+		d.reads.Add(uint64(count))
+		d.readBytes.Add(uint64(count * bytesEach))
+		d.modeledNs.Add(uint64(count) * d.lat.ReadNanos(bytesEach))
+	}
 	if d.inject.Load() {
-		spin(ns)
+		spin(uint64(count) * d.lat.ReadNanos(bytesEach))
 	}
 }
 
@@ -409,12 +429,15 @@ func (d *Device) ChargeWriteN(count, bytesEach int) {
 	if count <= 0 || d.unmetered.Load() {
 		return
 	}
-	d.writes.Add(uint64(count))
-	d.writeBytes.Add(uint64(count * bytesEach))
-	ns := uint64(count) * d.lat.WriteNanos(bytesEach)
-	d.modeledNs.Add(ns)
+	if uint(bytesEach) < bucketSizes {
+		d.writesBy[bytesEach].Add(uint64(count))
+	} else {
+		d.writes.Add(uint64(count))
+		d.writeBytes.Add(uint64(count * bytesEach))
+		d.modeledNs.Add(uint64(count) * d.lat.WriteNanos(bytesEach))
+	}
 	if d.inject.Load() {
-		spin(ns)
+		spin(uint64(count) * d.lat.WriteNanos(bytesEach))
 	}
 }
 

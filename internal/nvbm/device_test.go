@@ -518,7 +518,8 @@ func TestDelayInjectionWallClock(t *testing.T) {
 
 // The bulk charges stand in for count separate accesses, so under delay
 // injection they must spin for the same wall time those accesses would,
-// and with injection off they must not spin at all.
+// and with injection off they must not spin at all. The sizes cover both
+// counter paths: per-size buckets (64, 88 B) and the direct triple (4 KiB).
 func TestChargeNDelayInjection(t *testing.T) {
 	const k = 20000
 	d := New(NVBM, 0)
@@ -529,6 +530,9 @@ func TestChargeNDelayInjection(t *testing.T) {
 	}{
 		{"ChargeReadN", func() { d.ChargeReadN(k, 64) }, k * d.lat.ReadNanos(64)},
 		{"ChargeWriteN", func() { d.ChargeWriteN(k, 64) }, k * d.lat.WriteNanos(64)},
+		{"ChargeReadN 88B", func() { d.ChargeReadN(k/2, 88) }, k / 2 * d.lat.ReadNanos(88)},
+		{"ChargeReadN 4KiB", func() { d.ChargeReadN(k/64, 4096) }, k / 64 * d.lat.ReadNanos(4096)},
+		{"ChargeWriteN 4KiB", func() { d.ChargeWriteN(k/64, 4096) }, k / 64 * d.lat.WriteNanos(4096)},
 	} {
 		modeled := time.Duration(tc.ns)
 		d.SetDelayInjection(true)

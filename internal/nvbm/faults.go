@@ -246,7 +246,7 @@ func (d *Device) Scrub(src func(off int, p []byte) bool) ScrubReport {
 	defer d.mu.Unlock()
 	limit := d.wearLimit.Load()
 	buf := make([]byte, LineSize)
-	ns0 := d.modeledNs.Load()
+	ns0 := d.Stats().ModeledNs
 	for line := range d.lineCRC {
 		rep.LinesScanned++
 		lo := line * LineSize
@@ -290,7 +290,7 @@ func (d *Device) Scrub(src func(off int, p []byte) bool) ScrubReport {
 	}
 	d.ChargeReadN(rep.LinesScanned, LineSize)
 	d.ChargeWriteN(rep.Repaired+rep.Remapped, LineSize)
-	rep.ModeledNs = d.modeledNs.Load() - ns0
+	rep.ModeledNs = d.Stats().ModeledNs - ns0
 	rep.SparesLeft = d.spare
 	d.scrubPasses++
 	d.scrubScanned += uint64(rep.LinesScanned)

@@ -96,7 +96,7 @@ func (d *Device) RestoreFrom(r io.Reader) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.data = data
+	d.setData(data)
 	if d.kind == NVBM {
 		wear := make([]uint32, (len(data)+LineSize-1)/LineSize)
 		copy(wear, d.wear)

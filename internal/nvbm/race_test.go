@@ -226,37 +226,55 @@ func TestConcurrentWritersPowerCut(t *testing.T) {
 
 // TestConcurrentCommittedReadersRacingWriter exercises the read side of
 // the contract that MVCC snapshot serving relies on: many goroutines
-// issue charged reads against the SAME committed (immutable) lines —
-// plus bulk ChargeReadN accounting — while a single writer keeps writing
-// OTHER lines and Grow extends the device. The committed data must read
-// back bit-identical every time and the read accounting must be exact.
-// Run with -race.
+// issue lock-free charged reads against the SAME committed (immutable)
+// lines — plus bulk ChargeReadN accounting — while one goroutine keeps
+// writing OTHER lines, another grows the device, and a third keeps
+// restoring an image into a second device the readers also read. Every
+// read must return the committed bytes, whichever backing array it
+// caught, and the read accounting must be exact. Run with -race.
 func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 	const (
 		readers     = 4
 		readsEach   = 300
 		chargesEach = 100
+		rounds      = 100
 		region      = 4 * LineSize
 		initialSize = 2 * region
 	)
 	d := New(NVBM, initialSize)
 	committed := bytes.Repeat([]byte{0xA5}, region)
 	d.WriteAt(0, committed)
-	base := d.Stats()
+	var img bytes.Buffer
+	if err := d.SnapshotTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(NVBM, 0)
+	if err := restored.RestoreFrom(bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	base, restoredBase := d.Stats(), restored.Stats()
 
 	var wg sync.WaitGroup
-	wg.Add(readers + 1)
-	// Writer: mutates the second region and grows the device under the
-	// readers' feet.
-	go func() {
+	wg.Add(readers + 3)
+	go func() { // writer: mutates the second region
 		defer wg.Done()
 		buf := bytes.Repeat([]byte{0x5A}, region)
-		size := initialSize
-		for k := 0; k < readsEach; k++ {
+		for k := 0; k < rounds; k++ {
 			d.WriteAt(region, buf)
-			if k%50 == 0 {
-				size += region
-				d.Grow(size)
+		}
+	}()
+	go func() { // grower: swaps the backing array under the readers
+		defer wg.Done()
+		for k := 1; k <= rounds; k++ {
+			d.Grow(initialSize + k*region)
+		}
+	}()
+	go func() { // restorer: publishes a fresh array on the second device
+		defer wg.Done()
+		for k := 0; k < rounds; k++ {
+			if err := restored.RestoreFrom(bytes.NewReader(img.Bytes())); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()
@@ -265,10 +283,12 @@ func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 			defer wg.Done()
 			got := make([]byte, region)
 			for k := 0; k < readsEach; k++ {
-				d.ReadAt(0, got)
-				if !bytes.Equal(got, committed) {
-					t.Error("committed lines changed under a reader")
-					return
+				for _, dev := range []*Device{d, restored} {
+					dev.ReadAt(0, got)
+					if !bytes.Equal(got, committed) {
+						t.Error("committed lines changed under a reader")
+						return
+					}
 				}
 			}
 			for k := 0; k < chargesEach; k++ {
@@ -285,7 +305,13 @@ func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 	if want := uint64(readers * (readsEach*region + 2*chargesEach*LineSize)); st.ReadBytes != want {
 		t.Errorf("read bytes = %d, want %d", st.ReadBytes, want)
 	}
-	if want := uint64(readsEach); st.Writes != want {
+	if want := uint64(rounds); st.Writes != want {
 		t.Errorf("writes = %d, want %d", st.Writes, want)
+	}
+	if got, want := restored.Stats().Sub(restoredBase).Reads, uint64(readers*readsEach); got != want {
+		t.Errorf("restored-device reads = %d, want %d", got, want)
+	}
+	if want := initialSize + rounds*region; d.Size() != want {
+		t.Errorf("size = %d, want %d", d.Size(), want)
 	}
 }

@@ -15,9 +15,18 @@ type Stats struct {
 	ModeledNs  uint64 // accumulated modeled latency
 }
 
-// Stats returns a snapshot of the device's counters.
+// bucketSizes bounds the per-size access buckets: every access of up to
+// two cache lines (0 to 128 bytes: the 88-byte octant record, its
+// fields, bitmap and u64 words) counts in its own size's bucket.
+const bucketSizes = 129
+
+// Stats returns a snapshot of the device's counters. The per-size buckets
+// fold exactly: the latency model is fixed at construction, so a bucket
+// of c accesses of n bytes contributed c reads, c·n bytes and
+// c·ReadNanos(n) modeled nanoseconds, the same integers the charges
+// would have added one by one.
 func (d *Device) Stats() Stats {
-	return Stats{
+	s := Stats{
 		Kind:       d.kind,
 		Reads:      d.reads.Load(),
 		Writes:     d.writes.Load(),
@@ -25,11 +34,28 @@ func (d *Device) Stats() Stats {
 		WriteBytes: d.writeBytes.Load(),
 		ModeledNs:  d.modeledNs.Load(),
 	}
+	for n := range bucketSizes {
+		if c := d.readsBy[n].Load(); c != 0 {
+			s.Reads += c
+			s.ReadBytes += c * uint64(n)
+			s.ModeledNs += c * d.lat.ReadNanos(n)
+		}
+		if c := d.writesBy[n].Load(); c != 0 {
+			s.Writes += c
+			s.WriteBytes += c * uint64(n)
+			s.ModeledNs += c * d.lat.WriteNanos(n)
+		}
+	}
+	return s
 }
 
 // ResetStats zeroes all access counters. Wear counters are not reset:
 // endurance damage is permanent.
 func (d *Device) ResetStats() {
+	for n := range bucketSizes {
+		d.readsBy[n].Store(0)
+		d.writesBy[n].Store(0)
+	}
 	d.reads.Store(0)
 	d.writes.Store(0)
 	d.readBytes.Store(0)
